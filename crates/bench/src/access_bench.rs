@@ -1,20 +1,14 @@
 //! The `cachesim bench` throughput harness.
 //!
 //! Measures simulated accesses/second for the headline cache
-//! organisations and, where a seed-layout twin exists
-//! ([`crate::seed_baseline`]), the speedup of the packed
-//! structure-of-arrays engines over the pre-optimisation layout.
+//! organisations.
 //!
 //! Methodology: one address stream (the documented uniform-random
 //! SplitMix64 stream over a 20 000-block footprint, ~31% miss rate on
-//! the paper's 512 KB/64 B/8-way L2), both engines resident in the same
-//! process, warmed together, then timed in *interleaved* repetitions
-//! (baseline chunk, optimised chunk, repeat) so CPU frequency drift and
-//! noisy neighbours hit both sides equally. Best-of-repetitions is
-//! reported, the standard practice for shortest-plausible-time
-//! micro-measurement.
+//! the paper's 512 KB/64 B/8-way L2), each engine warmed, then timed
+//! over repeated passes. Best-of-repetitions is reported, the standard
+//! practice for shortest-plausible-time micro-measurement.
 
-use crate::seed_baseline::{SeedAdaptive, SeedCache};
 use adaptive_cache::{AdaptiveCache, AdaptiveConfig, DipCache, DipConfig, SbarCache, SbarConfig};
 use cache_sim::{BlockAddr, Cache, CacheModel, Geometry, PolicyKind, ReplacementPolicy};
 use serde::Serialize;
@@ -87,14 +81,6 @@ pub struct OrgResult {
     /// Simulated accesses per wall-clock second (best repetition).
     pub accesses_per_sec: f64,
     pub ns_per_access: f64,
-    /// Seed-layout twin throughput, when one exists.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub baseline_accesses_per_sec: Option<f64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub baseline_ns_per_access: Option<f64>,
-    /// `accesses_per_sec / baseline_accesses_per_sec`.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub speedup: Option<f64>,
 }
 
 /// The whole `results/bench_access.json` document.
@@ -103,8 +89,6 @@ pub struct BenchReport {
     pub schema: String,
     pub geometry: String,
     pub stream: String,
-    /// What the `baseline_*` columns measure.
-    pub baseline: String,
     pub accesses_per_repetition: u64,
     pub repetitions: u32,
     pub quick: bool,
@@ -135,40 +119,8 @@ fn timed_pass(best_ns: &mut f64, mut chunk: impl FnMut() -> u64) {
     }
 }
 
-/// Measures an organisation with a baseline twin: warm both, then
-/// interleave timed repetitions.
-fn measure_pair(
-    name: &str,
-    addrs: &[BlockAddr],
-    reps: u32,
-    mut new_chunk: impl FnMut(&[BlockAddr]) -> u64,
-    mut base_chunk: impl FnMut(&[BlockAddr]) -> u64,
-) -> OrgResult {
-    // Warm-up: fill every set and settle the policy metadata.
-    for _ in 0..3 {
-        new_chunk(addrs);
-        base_chunk(addrs);
-    }
-    let mut best_new = f64::INFINITY;
-    let mut best_base = f64::INFINITY;
-    for _ in 0..reps {
-        timed_pass(&mut best_base, || base_chunk(addrs));
-        timed_pass(&mut best_new, || new_chunk(addrs));
-    }
-    let n = addrs.len() as f64;
-    OrgResult {
-        name: name.to_string(),
-        accesses_per_sec: n / (best_new * 1e-9),
-        ns_per_access: best_new / n,
-        baseline_accesses_per_sec: Some(n / (best_base * 1e-9)),
-        baseline_ns_per_access: Some(best_base / n),
-        speedup: Some(best_base / best_new),
-    }
-}
-
-/// Measures an organisation with no seed twin (SBAR/DIP were added after
-/// the seed, so there is no layout baseline to compare against).
-fn measure_single(
+/// Warms an organisation, then keeps its best timed pass.
+fn measure(
     name: &str,
     addrs: &[BlockAddr],
     reps: u32,
@@ -186,9 +138,6 @@ fn measure_single(
         name: name.to_string(),
         accesses_per_sec: n / (best * 1e-9),
         ns_per_access: best / n,
-        baseline_accesses_per_sec: None,
-        baseline_ns_per_access: None,
-        speedup: None,
     }
 }
 
@@ -206,27 +155,14 @@ pub fn run(quick: bool) -> BenchReport {
         ("plain_lru", PolicyKind::Lru),
         ("plain_lfu5", PolicyKind::LFU5),
     ] {
-        let mut new = Cache::new(geom, policy, 7);
-        let mut old = SeedCache::new(geom, policy, 7);
-        organisations.push(measure_pair(
-            name,
-            &addrs,
-            reps,
-            |a| {
-                let mut h = 0u64;
-                for &b in a {
-                    h += u64::from(new.access(b, false).hit);
-                }
-                h
-            },
-            |a| {
-                let mut h = 0u64;
-                for &b in a {
-                    h += u64::from(old.access(b, false).hit);
-                }
-                h
-            },
-        ));
+        let mut cache = Cache::new(geom, policy, 7);
+        organisations.push(measure(name, &addrs, reps, |a| {
+            let mut h = 0u64;
+            for &b in a {
+                h += u64::from(cache.access(b, false).hit);
+            }
+            h
+        }));
     }
 
     // The batched probe driver, reported as its own row so the
@@ -235,9 +171,9 @@ pub fn run(quick: bool) -> BenchReport {
     // cache-resident (this one) the prefetches are pure overhead, while
     // cold or larger-footprint streams profit from them.
     {
-        let mut new = Cache::new(geom, PolicyKind::Lru, 7);
-        organisations.push(measure_single("plain_lru_batched", &addrs, reps, |a| {
-            pipelined_cache_pass(&mut new, a)
+        let mut cache = Cache::new(geom, PolicyKind::Lru, 7);
+        organisations.push(measure("plain_lru_batched", &addrs, reps, |a| {
+            pipelined_cache_pass(&mut cache, a)
         }));
     }
 
@@ -245,21 +181,10 @@ pub fn run(quick: bool) -> BenchReport {
         ("adaptive_full", AdaptiveConfig::paper_full_tags()),
         ("adaptive_8bit", AdaptiveConfig::paper_default()),
     ] {
-        let mut new = AdaptiveCache::new(geom, config, 7);
-        let mut old = SeedAdaptive::new(geom, config, 7);
-        organisations.push(measure_pair(
-            name,
-            &addrs,
-            reps,
-            |a| lookahead_pass(&mut new, a),
-            |a| {
-                let mut h = 0u64;
-                for &b in a {
-                    h += u64::from(old.access(b, false).hit);
-                }
-                h
-            },
-        ));
+        let mut cache = AdaptiveCache::new(geom, config, 7);
+        organisations.push(measure(name, &addrs, reps, |a| {
+            lookahead_pass(&mut cache, a)
+        }));
     }
 
     // SBAR and DIP probe one or two resident structures per access;
@@ -267,7 +192,7 @@ pub fn run(quick: bool) -> BenchReport {
     // here, so their drivers stay plain loops.
     {
         let mut sbar = SbarCache::new(geom, SbarConfig::paper_default(), 7);
-        organisations.push(measure_single("sbar", &addrs, reps, |a| {
+        organisations.push(measure("sbar", &addrs, reps, |a| {
             let mut h = 0u64;
             for &b in a {
                 h += u64::from(sbar.access(b, false).hit);
@@ -277,7 +202,7 @@ pub fn run(quick: bool) -> BenchReport {
     }
     {
         let mut dip = DipCache::new(geom, DipConfig::paper_default(), 7);
-        organisations.push(measure_single("dip", &addrs, reps, |a| {
+        organisations.push(measure("dip", &addrs, reps, |a| {
             let mut h = 0u64;
             for &b in a {
                 h += u64::from(dip.access(b, false).hit);
@@ -290,9 +215,6 @@ pub fn run(quick: bool) -> BenchReport {
         schema: "adaptive-caches/bench_access/v1".to_string(),
         geometry: "512KB, 64B lines, 8-way".to_string(),
         stream: format!("splitmix64(i) % 20000, n={n}"),
-        baseline: "seed-layout (array-of-structs, unfused) engines compiled \
-                   in this binary with identical flags"
-            .to_string(),
         accesses_per_repetition: n as u64,
         repetitions: reps,
         quick,
@@ -320,21 +242,11 @@ pub fn print_report(report: &BenchReport) {
         report.geometry, report.stream, report.repetitions
     );
     for org in &report.organisations {
-        match org.speedup {
-            Some(s) => println!(
-                "  {:<14} {:>7.1} M acc/s  ({:>5.2} ns/acc)  seed layout {:>5.2} ns/acc  => {:.2}x",
-                org.name,
-                org.accesses_per_sec / 1e6,
-                org.ns_per_access,
-                org.baseline_ns_per_access.unwrap_or(f64::NAN),
-                s
-            ),
-            None => println!(
-                "  {:<14} {:>7.1} M acc/s  ({:>5.2} ns/acc)",
-                org.name,
-                org.accesses_per_sec / 1e6,
-                org.ns_per_access
-            ),
-        }
+        println!(
+            "  {:<14} {:>7.1} M acc/s  ({:>5.2} ns/acc)",
+            org.name,
+            org.accesses_per_sec / 1e6,
+            org.ns_per_access
+        );
     }
 }

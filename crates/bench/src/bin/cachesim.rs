@@ -4,6 +4,7 @@
 //!   cargo run --release -p bench --bin cachesim -- run.json
 //!   cargo run --release -p bench --bin cachesim -- --template > run.json
 //!   cargo run --release -p bench --bin cachesim -- --telemetry out/ run.json
+//!   cargo run --release -p bench --bin cachesim -- fig all
 //!
 //! The JSON file describes either **one run** — a workload (a suite
 //! benchmark by name, an inline `WorkloadSpec`, or a recorded trace
@@ -16,6 +17,11 @@
 //! every settled cell is checkpointed to
 //! `results/<name>.journal.jsonl`; re-running with `AC_RESUME=1` skips
 //! cells the journal proves complete.
+//!
+//! `fig <name>... | all | paper | --list` regenerates the paper's tables
+//! and figures (and the ablations and extensions) from
+//! `experiments::figures::registry()`, one supervised cell per figure,
+//! journalled to `results/all_figures.journal.jsonl`.
 //!
 //! Telemetry: `--telemetry <dir>` (or `--metrics` for `results/`, or the
 //! `AC_TELEMETRY` environment variable) enables the `ac-telemetry`
@@ -39,7 +45,7 @@ use cpu_model::{run_functional, CpuConfig, Hierarchy, Pipeline};
 use experiments::resilience::{
     self, ExperimentError, SupervisorConfig, EXIT_INVALID_INPUT, EXIT_PARTIAL,
 };
-use experiments::L2Kind;
+use experiments::{figures, L2Kind};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Duration;
@@ -472,6 +478,116 @@ fn run_cache_subcommand(rest: &[String]) -> i32 {
     }
 }
 
+const FIG_USAGE: &str = "usage: cachesim fig <name>... | all | paper | --list";
+
+/// `cachesim fig <name>... | all | paper | --list`: regenerates registry
+/// figures at the `AC_INSTS` budget, one supervised cell per figure. A
+/// panicking figure is isolated and retried once; every settled figure
+/// is checkpointed with its output to `results/all_figures.journal.jsonl`,
+/// so `AC_RESUME=1` re-emits finished figures instead of recomputing
+/// them. Outputs print in registry order and tables land as
+/// `results/<name>.{csv,json}`; a per-figure wall-time summary ends the
+/// run on stderr.
+fn run_fig_subcommand(rest: &[String]) -> i32 {
+    let registry = figures::registry();
+    if rest.is_empty() {
+        die_invalid(FIG_USAGE);
+    }
+    if rest.iter().any(|a| a == "--list") {
+        for e in registry {
+            println!("{}", e.name);
+        }
+        return 0;
+    }
+    for name in rest {
+        if !matches!(name.as_str(), "all" | "paper") && !registry.iter().any(|e| e.name == *name) {
+            die_invalid(&format!("unknown figure `{name}` ({FIG_USAGE})"));
+        }
+    }
+    let chosen: Vec<figures::Entry> = registry
+        .iter()
+        .filter(|e| {
+            rest.iter()
+                .any(|a| a == "all" || (a == "paper" && e.paper) || a == e.name)
+        })
+        .copied()
+        .collect();
+
+    // Figure spans feed the wall-time summary, so keep an in-memory hub
+    // (event stream off) when no telemetry was requested.
+    if ac_telemetry::hub().is_none() {
+        let cfg = ac_telemetry::TelemetryConfig::default().with_sample_rate(0);
+        let _ = ac_telemetry::Telemetry::install(cfg);
+    }
+    let insts = experiments::default_insts();
+    let results = Path::new("results");
+    let cfg = SupervisorConfig::journalled(results, "all_figures");
+    let report = match resilience::run_sweep(
+        &chosen,
+        &cfg,
+        |e| format!("{}:{insts}", e.name),
+        move |e: figures::Entry| {
+            let _span = ac_telemetry::span("figure", || e.name.to_string());
+            ac_telemetry::info!("{}: running ...", e.name);
+            Ok((e.run)(insts))
+        },
+    ) {
+        Ok(r) => r,
+        Err(e) => die_invalid(&format!("fig: cannot start sweep: {e}")),
+    };
+
+    for (e, cell) in chosen.iter().zip(&report.cells) {
+        match &cell.outcome {
+            resilience::CellOutcome::Done(out) | resilience::CellOutcome::Resumed(out) => {
+                print!("{}", out.text);
+                let Some(t) = &out.table else { continue };
+                if let Err(err) = t.write_artifacts(results, e.name) {
+                    ac_telemetry::warn!("could not write results/{}: {err}", e.name);
+                }
+            }
+            resilience::CellOutcome::Failed(err) => {
+                ac_telemetry::error!("cachesim: {} FAILED: {err}", e.name)
+            }
+            resilience::CellOutcome::TimedOut(d) => ac_telemetry::error!(
+                "cachesim: {} TIMED OUT after {:.1}s",
+                e.name,
+                d.as_secs_f64()
+            ),
+        }
+    }
+    print_wall_time_summary();
+    ac_telemetry::info!("cachesim: {}", report.summary());
+    if !report.is_complete() {
+        ac_telemetry::info!("cachesim: re-run with AC_RESUME=1 to retry only unfinished figures");
+    }
+    report.exit_code()
+}
+
+/// Per-figure wall time from the telemetry spans, widest first. Resumed
+/// figures were not recomputed, so they have no span and no line.
+fn print_wall_time_summary() {
+    let Some(hub) = ac_telemetry::hub() else {
+        return;
+    };
+    let mut spans: Vec<(String, u64)> = hub
+        .span_totals()
+        .into_iter()
+        .filter(|(_, cat, _, _)| *cat == "figure")
+        .map(|(name, _, _, total_us)| (name, total_us))
+        .collect();
+    if spans.is_empty() {
+        return;
+    }
+    spans.sort_by_key(|s| std::cmp::Reverse(s.1));
+    let total_us: u64 = spans.iter().map(|(_, us)| us).sum();
+    let width = spans.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+    ac_telemetry::info!("cachesim: per-figure wall time:");
+    for (name, us) in &spans {
+        ac_telemetry::info!("  {name:width$}  {:>8.1}s", *us as f64 / 1e6);
+    }
+    ac_telemetry::info!("  {:width$}  {:>8.1}s", "total", total_us as f64 / 1e6);
+}
+
 /// Appends the bench's headline numbers to the history observatory; a
 /// write failure downgrades to a warning (the bench itself succeeded).
 fn append_bench_history(
@@ -490,8 +606,8 @@ fn append_bench_history(
 /// `cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>]
 /// [--shards <n>] [--out <path>] [--history <path>]
 /// [--trend [--threshold <pct>]]`: measure access throughput per
-/// organisation (against the seed-layout baselines where they exist) and
-/// write `results/bench_access.json` — or, with `--sweep`, time a
+/// organisation and write `results/bench_access.json` — or, with
+/// `--sweep`, time a
 /// fig03-style functional sweep replay-on vs replay-off and write
 /// `results/bench_sweep.json` — or, with `--concurrent`, drive the
 /// sharded concurrent front end across a thread ladder (up to
@@ -727,6 +843,11 @@ fn dispatch(mut args: Vec<String>) -> i32 {
         bench::finish_telemetry();
         return code;
     }
+    if arg == "fig" {
+        let code = run_fig_subcommand(&args[1..]);
+        bench::finish_telemetry();
+        return code;
+    }
     if arg == "cache" {
         let code = run_cache_subcommand(&args[1..]);
         bench::finish_telemetry();
@@ -749,7 +870,7 @@ fn dispatch(mut args: Vec<String>) -> i32 {
     }
     if arg.is_empty() || arg.starts_with("--") {
         die_invalid(
-            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>] [--shards <n>] [--out <path>] [--history <path>] [--trend [--threshold <pct>]] | cachesim cache {ls|verify|gc} [--dir <dir>] | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>] [--history <path>] [--no-history]",
+            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim fig <name>... | all | paper | --list | cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>] [--shards <n>] [--out <path>] [--history <path>] [--trend [--threshold <pct>]] | cachesim cache {ls|verify|gc} [--dir <dir>] | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>] [--history <path>] [--no-history]",
         );
     }
 

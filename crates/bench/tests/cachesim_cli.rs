@@ -411,3 +411,52 @@ fn no_arguments_is_usage_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fig_list_prints_every_registry_name() {
+    let dir = tmp_dir("figlist");
+    let out = run_in(&dir, &["fig", "--list"], &[]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout.lines().collect();
+    let names: Vec<&str> = experiments::figures::registry()
+        .iter()
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(listed, names);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fig_unknown_name_exits_invalid_before_running_anything() {
+    let dir = tmp_dir("figunknown");
+    let out = run_in(&dir, &["fig", "table_storage", "fig99_nope"], &[]);
+    assert_eq!(out.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("fig99_nope"));
+    assert!(!dir.join("results").exists(), "nothing may run");
+    let out = run_in(&dir, &["fig"], &[]);
+    assert_eq!(out.status.code(), Some(3));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fig_resume_reemits_every_figure_from_the_journal() {
+    let dir = tmp_dir("figresume");
+    let args = ["fig", "table_storage", "fig03_mpki"];
+    let first = run_in(&dir, &args, &[("AC_INSTS", "2000")]);
+    assert_eq!(first.status.code(), Some(0));
+    let csv = dir.join("results/fig03_mpki.csv");
+    let table = std::fs::read_to_string(&csv).unwrap();
+    std::fs::remove_file(&csv).unwrap();
+
+    let second = run_in(&dir, &args, &[("AC_INSTS", "2000"), ("AC_RESUME", "1")]);
+    assert_eq!(second.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(
+        stderr.contains("2 cells: 2 ok (2 resumed)"),
+        "expected every figure resumed: {stderr}"
+    );
+    assert_eq!(second.stdout, first.stdout, "resumed output differs");
+    assert_eq!(std::fs::read_to_string(&csv).unwrap(), table);
+    let _ = std::fs::remove_dir_all(&dir);
+}

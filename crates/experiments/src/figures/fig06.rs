@@ -6,12 +6,12 @@
 //! adaptive cache still performs slightly better than the 10-way cache at
 //! less than a sixth of the overhead.
 
+use super::suite_table;
 use crate::report::Table;
-use crate::runner::{parallel_map, run_timed_with_geom, L2Kind};
+use crate::runner::{run_timed_with_geom, L2Kind};
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::{Geometry, PolicyKind};
 use cpu_model::CpuConfig;
-use workloads::primary_suite;
 
 /// The five organisations of Figure 6: `(label, L2Kind, geometry)`.
 pub fn organisations() -> Vec<(String, L2Kind, Geometry)> {
@@ -49,26 +49,14 @@ pub fn organisations() -> Vec<(String, L2Kind, Geometry)> {
 
 /// Regenerates Figure 6 (CPI per benchmark; lower is better).
 pub fn fig06_vs_bigger(insts: u64) -> Table {
-    let suite = primary_suite();
     let orgs = organisations();
     let config = CpuConfig::paper_default();
-    let mut table = Table::new(
+    suite_table(
         "Figure 6: CPI of partially-tagged adaptive replacement vs bigger conventional caches",
-        "benchmark",
         orgs.iter().map(|(l, _, _)| l.clone()).collect(),
-    );
-    let rows = parallel_map(&suite, |b| {
-        let values: Vec<f64> = orgs
-            .iter()
-            .map(|(_, kind, geom)| run_timed_with_geom(b, kind, config, *geom, insts).cpi())
-            .collect();
-        (b.name.to_string(), values)
-    });
-    for (label, values) in rows {
-        table.push_row(label, values);
-    }
-    table.push_average();
-    table
+        &orgs,
+        |b, (_, kind, geom)| run_timed_with_geom(b, kind, config, *geom, insts).cpi(),
+    )
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! map shows an early spatially-mixed phase, an LFU-dominant band and a
 //! final LRU takeover; mgrid shows a per-set gradient.
 
+use super::Output;
 use crate::report::Table;
 use adaptive_cache::{AdaptiveCache, AdaptiveConfig, Component};
 use cache_sim::Geometry;
@@ -74,6 +75,29 @@ impl PhaseMap {
         }
         t
     }
+
+    /// The map as registry output: the ASCII art is printed, the table
+    /// is the artefact.
+    pub fn output(&self) -> Output {
+        Output {
+            text: format!(
+                "{}: sets (bottom=set 0) vs time (left to right)\n{}\n",
+                self.benchmark,
+                self.ascii()
+            ),
+            table: Some(self.to_table()),
+        }
+    }
+}
+
+/// Budget floor of the registry entries: the phases only show over
+/// millions of instructions.
+pub const MIN_INSTS: u64 = 2_000_000;
+
+/// The registry entry for `benchmark`: 100k-cycle quanta over 32 set
+/// groups, at `insts` floored to [`MIN_INSTS`].
+pub fn output(benchmark: &str, insts: u64) -> Output {
+    fig07_phase_map(benchmark, insts.max(MIN_INSTS), 100_000, 32).output()
 }
 
 /// Runs `benchmark` (by name) on the paper's adaptive L2 and samples the

@@ -17,8 +17,9 @@
 //! `AC_RESUME=1` skips finished work. The [`faultinject`] module provides
 //! deterministic fault wrappers for testing those degradation paths.
 //!
-//! The figure regeneration binaries live in the `bench` crate
-//! (`cargo run --release -p bench --bin fig03_mpki`, ...).
+//! Every artefact is an entry of [`figures::registry()`]; the `bench`
+//! crate's `cachesim fig` subcommand regenerates them
+//! (`cargo run --release -p bench --bin cachesim -- fig all`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
