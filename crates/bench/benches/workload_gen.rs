@@ -7,10 +7,10 @@ use workloads::trace_io::{read_binary, read_text, write_binary, write_text};
 use workloads::{extended_suite, primary_suite};
 
 fn bench_archetypes(c: &mut Criterion) {
-    let suite = primary_suite();
+    let suite = extended_suite();
     let mut group = c.benchmark_group("trace_gen");
     group.throughput(Throughput::Elements(10_000));
-    for name in ["applu", "art-1", "mcf", "parser", "ammp"] {
+    for name in ["applu", "art-1", "mcf", "parser", "ammp", "crafty"] {
         let bench = suite.iter().find(|b| b.name == name).unwrap().clone();
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -22,6 +22,22 @@ fn bench_archetypes(c: &mut Criterion) {
             });
         });
     }
+    // Late in a stack-distance stream: 1.5M instructions in, `parser`'s
+    // live set is thousands of blocks deep, so the cost of a
+    // re-reference at depth shows. One generator keeps running across
+    // iterations, so every timed instruction is a late one.
+    let parser = suite.iter().find(|b| b.name == "parser").unwrap();
+    let mut late = parser.spec.generator();
+    late.nth(1_500_000);
+    group.bench_function("parser-late", |b| {
+        b.iter(|| {
+            let mut total = 0u64;
+            for inst in late.by_ref().take(10_000) {
+                total ^= inst.pc;
+            }
+            black_box(total)
+        });
+    });
     group.finish();
 }
 

@@ -54,8 +54,8 @@ pub mod replay;
 pub use branch::{BranchPredictor, BranchStats};
 pub use config::{CacheParams, CpuConfig};
 pub use hierarchy::{
-    l1_geometry, run_functional, BlockSet, FunctionalStats, Hierarchy, IdentityHasher, L2Complex,
-    Level,
+    l1_geometry, run_functional, BlockSet, FetchBlocks, FunctionalStats, Hierarchy, IdentityHasher,
+    L2Complex, Level,
 };
 pub use oracle::{belady, replay_model_windows, replay_standalone, OracleWindow, PolicyReplay};
 pub use pipeline::{Pipeline, RunStats};

@@ -23,7 +23,7 @@
 //! window; the replay feeds `Timeline::record` at exactly those points.
 
 use crate::config::CpuConfig;
-use crate::hierarchy::{build_l1, FunctionalStats, L2Complex, L1D_SEED, L1I_SEED};
+use crate::hierarchy::{build_l1, FetchBlocks, FunctionalStats, L2Complex, L1D_SEED, L1I_SEED};
 use cache_sim::{Address, CacheModel};
 use workloads::packed::{BitSeq, DeltaSeq};
 
@@ -227,14 +227,12 @@ where
     let sched_window = capture_window();
     let mut sched = (sched_window > 0).then(|| ScheduleSim::new(sched_window));
     let mut stats = FunctionalStats::default();
-    let mut last_iblock = u64::MAX;
+    let mut fetch = FetchBlocks::new(l1i_geom.line_bytes());
     let mut trace = trace;
     while stats.instructions < max_insts {
         let Some(inst) = trace.next() else { break };
         stats.instructions += 1;
-        let iblock = inst.pc / l1i_geom.line_bytes() as u64;
-        if iblock != last_iblock {
-            last_iblock = iblock;
+        if fetch.enters(inst.pc) {
             stats.inst_fetches += 1;
             let out = l1i.access(l1i_geom.block_of(Address::new(inst.pc)), false);
             if !out.hit {

@@ -15,7 +15,7 @@
 
 use crate::runner::L2Kind;
 use cache_sim::{Address, Cache, CacheModel, CacheStats, Geometry, PolicyKind};
-use cpu_model::CpuConfig;
+use cpu_model::{CpuConfig, FetchBlocks};
 use serde::{Deserialize, Serialize};
 use workloads::{Benchmark, Inst, TraceGen};
 
@@ -53,7 +53,7 @@ struct Core {
     l1i_geom: Geometry,
     l1d_geom: Geometry,
     base: u64,
-    last_iblock: u64,
+    fetch: FetchBlocks,
     retired: u64,
 }
 
@@ -86,7 +86,7 @@ pub fn run_shared_l2(benches: &[&Benchmark], kind: &L2Kind, insts_per_core: u64)
             l1i_geom,
             l1d_geom,
             base: i as u64 * CORE_SPACING,
-            last_iblock: u64::MAX,
+            fetch: FetchBlocks::new(l1i_geom.line_bytes()),
             retired: 0,
         })
         .collect();
@@ -104,9 +104,7 @@ pub fn run_shared_l2(benches: &[&Benchmark], kind: &L2Kind, insts_per_core: u64)
 
             // Instruction fetch through the private L1I.
             let pc = core.base + inst.pc;
-            let iblock = pc / core.l1i_geom.line_bytes() as u64;
-            if iblock != core.last_iblock {
-                core.last_iblock = iblock;
+            if core.fetch.enters(pc) {
                 let out = core
                     .l1i
                     .access(core.l1i_geom.block_of(Address::new(pc)), false);

@@ -4,8 +4,9 @@
 
 use crate::inst::{Inst, InstKind};
 use crate::pattern::{AccessPattern, PatternState};
+use crate::sample::{fixed_below, half, Coin, GeomSampler, Words};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Cache line size assumed when converting pattern block numbers to byte
@@ -169,12 +170,34 @@ impl WorkloadSpec {
 ///
 /// Implements `Iterator<Item = Inst>`; use `.take(n)` for a fixed-length
 /// trace.
+///
+/// Every random decision reads raw words of one xoshiro256++ stream, in a
+/// fixed order per instruction: the class variate, the pattern's own
+/// draws (memory references that start a new line), then the class's
+/// coins — store (memory), direction (branch), or FP / long / mul-vs-div
+/// (compute, the last only for long integer ops) — then the first
+/// dependency, the second-operand coin and, if it lands, the second
+/// dependency. The words are read ahead from a buffer and the
+/// count consumed is computed, not branched on; every decision is one
+/// integer compare or a [`GeomSampler`] lookup, each equal by
+/// construction to the `rand` float expression it stands for.
 #[derive(Debug, Clone)]
 pub struct TraceGen {
     mix: MixSpec,
     code: CodeSpec,
     pattern: PatternState,
-    rng: SmallRng,
+    words: Words,
+    /// `unit(w) < mem_ratio` and `< mem_ratio + branch_ratio`, as bounds
+    /// on `w >> 11` (see [`fixed_below`]).
+    mem_below: u64,
+    branch_below: u64,
+    /// `is_hard_branch`'s 24-bit site hash bound.
+    hard_below: u64,
+    store: Coin,
+    fp: Coin,
+    long_op: Coin,
+    biased: Coin,
+    dep: GeomSampler,
     /// Dynamic instruction index.
     idx: u64,
     /// Current data line and remaining same-line references.
@@ -193,6 +216,14 @@ pub struct TraceGen {
 const CODE_BASE: u64 = 0x0040_0000;
 const REGION_SPACING: u64 = 0x0010_0000;
 
+/// Most words one instruction reads outside its pattern draws: the class
+/// variate, three compute coins, two dependencies and the coin between.
+const MAX_INST_WORDS: usize = 7;
+
+/// Most words read after a pattern draw: the store coin, two dependencies
+/// and the coin between.
+const MAX_TAIL_WORDS: usize = 4;
+
 impl TraceGen {
     fn new(spec: WorkloadSpec) -> Self {
         assert!(
@@ -209,10 +240,19 @@ impl TraceGen {
             "loop body needs >= 2 instructions"
         );
         assert!(spec.mix.line_burst >= 1, "line_burst must be >= 1");
+        let mix = spec.mix;
         TraceGen {
             pattern: spec.pattern.state(),
-            rng: SmallRng::seed_from_u64(spec.seed),
-            mix: spec.mix,
+            words: Words::new(SmallRng::seed_from_u64(spec.seed)),
+            mem_below: fixed_below(mix.mem_ratio, 53),
+            branch_below: fixed_below(mix.mem_ratio + mix.branch_ratio, 53),
+            hard_below: fixed_below(mix.hard_branch_frac, 24),
+            store: Coin::new(mix.store_frac),
+            fp: Coin::new(mix.fp_frac),
+            long_op: Coin::new(mix.long_op_frac),
+            biased: Coin::new(0.92),
+            dep: GeomSampler::new(mix.mean_dep_dist),
+            mix,
             code: spec.code,
             idx: 0,
             cur_block: 0,
@@ -232,18 +272,12 @@ impl TraceGen {
         CODE_BASE + u64::from(region) * REGION_SPACING
     }
 
-    /// Geometric dependency distance with the configured mean, in 1..=255.
-    fn dep(&mut self) -> u8 {
-        let u: f64 = self.rng.gen::<f64>().max(1e-12);
-        let d = 1.0 + u.ln() / (1.0 - 1.0 / self.mix.mean_dep_dist).ln();
-        d.clamp(1.0, 255.0) as u8
-    }
-
     /// Whether the static branch at `pc` is "hard" (data-dependent).
     fn is_hard_branch(&self, pc: u64) -> bool {
         // Deterministic per-site classification via a cheap hash.
+        // `h / 2^24 < hard_branch_frac` for the 24-bit hash `h`.
         let h = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-        (h as f64 / (1u64 << 24) as f64) < self.mix.hard_branch_frac
+        h < self.hard_below
     }
 }
 
@@ -276,55 +310,62 @@ impl Iterator for TraceGen {
         }
         self.body_pos += 1;
 
-        let u: f64 = self.rng.gen();
-        let kind = if u < self.mix.mem_ratio {
+        self.words.reserve(MAX_INST_WORDS);
+        let class = self.words.peek(0) >> 11;
+        // Words read so far; the dependency words follow.
+        let mut at = 1;
+        let kind = if class < self.mem_below {
             if self.burst_left == 0 {
-                self.cur_block = self.pattern.next_block(&mut self.rng);
+                self.words.consume(1);
+                self.cur_block = self.pattern.next_block(&mut self.words);
+                self.words.reserve(MAX_TAIL_WORDS);
+                at = 0;
                 self.burst_left = self.mix.line_burst.max(1);
                 self.word_idx = 0;
             }
             let addr = self.cur_block * LINE_BYTES + u64::from(self.word_idx) * 8 % LINE_BYTES;
             self.word_idx += 1;
             self.burst_left -= 1;
-            if self.rng.gen_bool(self.mix.store_frac) {
+            let store = self.store.hit(self.words.peek(at));
+            at += 1;
+            if store {
                 InstKind::Store { addr }
             } else {
                 InstKind::Load { addr }
             }
-        } else if u < self.mix.mem_ratio + self.mix.branch_ratio {
+        } else if class < self.branch_below {
+            let w = self.words.peek(at);
+            at += 1;
             let taken = if self.is_hard_branch(pc) {
-                self.rng.gen_bool(0.5)
+                half(w)
             } else {
-                self.rng.gen_bool(0.92)
+                self.biased.hit(w)
             };
             InstKind::Branch {
                 taken,
                 target: pc + 64, // short forward branch within the region
             }
         } else {
-            let fp = self.rng.gen_bool(self.mix.fp_frac);
-            let long = self.rng.gen_bool(self.mix.long_op_frac);
+            let fp = self.fp.hit(self.words.peek(at));
+            let long = self.long_op.hit(self.words.peek(at + 1));
+            let mul = half(self.words.peek(at + 2));
+            // The mul-vs-div coin is drawn only for long integer ops.
+            at += 2 + usize::from(!fp & long);
             match (fp, long) {
                 (false, false) => InstKind::IntAlu,
-                (false, true) => {
-                    if self.rng.gen_bool(0.5) {
-                        InstKind::IntMul
-                    } else {
-                        InstKind::IntDiv
-                    }
-                }
+                (false, true) if mul => InstKind::IntMul,
+                (false, true) => InstKind::IntDiv,
                 (true, false) => InstKind::FpAdd,
                 (true, true) => InstKind::FpDiv,
             }
         };
 
-        let d1 = self.dep();
-        // Second operand dependency present half the time.
-        let d2 = if self.rng.gen_bool(0.5) {
-            self.dep()
-        } else {
-            0
-        };
+        let d1 = self.dep.sample(self.words.peek(at));
+        // Second operand dependency present half the time; sampled either
+        // way (the word is reserved) and masked, so no branch mispredicts.
+        let second = half(self.words.peek(at + 1));
+        let d2 = self.dep.sample(self.words.peek(at + 2)) & 0u8.wrapping_sub(u8::from(second));
+        self.words.consume(at + 2 + usize::from(second));
         Some(Inst {
             pc,
             kind,

@@ -26,7 +26,6 @@
 
 use crate::stack::StackDistanceGen;
 use crate::zipf::Zipf;
-use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -402,7 +401,7 @@ impl BaseState {
         }
     }
 
-    fn next_block(&mut self, rng: &mut SmallRng) -> u64 {
+    fn next_block<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         match self {
             BaseState::LinearScan {
                 region,
@@ -526,7 +525,7 @@ enum Inner {
 
 impl PatternState {
     /// Draws the next absolute block number.
-    pub fn next_block(&mut self, rng: &mut SmallRng) -> u64 {
+    pub fn next_block<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         match &mut self.0 {
             Inner::Single { state, base } => *base + state.next_block(rng),
             Inner::Phased {
@@ -562,6 +561,7 @@ impl PatternState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {

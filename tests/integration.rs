@@ -4,7 +4,7 @@
 use adaptive_cache::{SbarCache, SbarConfig};
 use adaptive_caches::prelude::*;
 use cache_sim::Cache;
-use cpu_model::{run_functional, Hierarchy};
+use cpu_model::{run_functional, FunctionalStats, Hierarchy};
 use experiments::{run_functional_l2, run_timed, L2Kind, PAPER_L2};
 use workloads::{extended_suite, primary_suite};
 
@@ -22,6 +22,48 @@ fn every_extended_benchmark_runs_through_the_hierarchy() {
         let s = run_functional(&mut h, b.spec.generator(), 5_000);
         assert_eq!(s.instructions, 5_000, "{}", b.name);
         assert!(s.data_accesses > 0, "{} produced no memory traffic", b.name);
+    }
+}
+
+#[test]
+fn chunked_functional_run_equals_an_unbroken_one() {
+    // The current fetch block is hierarchy state, so resuming one
+    // generator call by call fetches exactly as one unbroken run.
+    let cfg = CpuConfig::paper_default();
+    let hierarchy = || Hierarchy::new(&cfg, Cache::new(paper_geom(), PolicyKind::Lru, 1));
+    let suite = extended_suite();
+    for name in ["gcc-1", "art-1"] {
+        let b = suite.iter().find(|b| b.name == name).unwrap();
+        let mut whole_h = hierarchy();
+        let whole = run_functional(&mut whole_h, b.spec.generator(), 30_000);
+
+        let mut h = hierarchy();
+        let mut gen = b.spec.generator();
+        let (mut insts, mut data, mut fetches, mut chunks) = (0, 0, 0, 0);
+        let mut last = None;
+        // Uneven chunks, down to single instructions, so boundaries fall
+        // inside fetch blocks.
+        for n in [1, 1, 2, 3, 5, 37, 1000].into_iter().cycle() {
+            if insts >= whole.instructions {
+                break;
+            }
+            let s = run_functional(&mut h, &mut gen, n.min(whole.instructions - insts));
+            insts += s.instructions;
+            data += s.data_accesses;
+            fetches += s.inst_fetches;
+            chunks += 1;
+            last = Some(s);
+        }
+        assert!(chunks > 100);
+        let chunked = FunctionalStats {
+            instructions: insts,
+            data_accesses: data,
+            inst_fetches: fetches,
+            ..last.unwrap()
+        };
+        assert_eq!(chunked, whole, "{name}");
+        assert_eq!(h.l1i_stats().hits, whole_h.l1i_stats().hits, "{name}");
+        assert_eq!(h.l1i_stats().misses, whole_h.l1i_stats().misses, "{name}");
     }
 }
 
